@@ -6,12 +6,24 @@
 // synthetic colored programs of growing size (call chains alternating
 // colored stores, loops, and helper calls) and reports real wall-clock time
 // for each pipeline stage. Growth should stay near-linear in program size.
+//
+// Wall time is too noisy to gate, so the bench also counts the CFG and
+// post-dominator builds of the whole pipeline (the ir.cfg_builds and
+// ir.pdom_builds hooks) and divides them by the number of defined
+// functions. Those ratios are deterministic and are pinned in
+// bench/baselines.json at every size: a per-specialization or per-chunk
+// rebuild makes them grow with the program and fails bench_check.
+//
+//   compiler_scalability [BENCH_compiler_scalability.json]
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "ir/parser.hpp"
+#include "obs/metrics.hpp"
 #include "partition/partitioner.hpp"
+#include "support/bench_json.hpp"
 
 namespace {
 
@@ -63,13 +75,25 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string json_path = argc > 1 ? argv[1] : "BENCH_compiler_scalability.json";
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset_all();
+  obs::set_metrics_enabled(true);
+  obs::Counter& cfg_builds = registry.counter("ir.cfg_builds");
+  obs::Counter& pdom_builds = registry.counter("ir.pdom_builds");
+
+  support::BenchJsonWriter json("compiler_scalability");
+  json.meta("mode", "relaxed").meta("program", "call chain, every third fn per color");
+
   std::printf("== Compiler scalability: pipeline wall time vs program size ==\n\n");
-  std::printf("%10s  %12s  %10s  %10s  %12s  %8s\n", "functions", "instructions",
-              "parse ms", "check ms", "partition ms", "chunks");
+  std::printf("%10s  %12s  %10s  %10s  %12s  %8s  %9s  %10s\n", "functions", "instructions",
+              "parse ms", "check ms", "partition ms", "chunks", "cfg/fn", "pdom/fn");
 
   for (int n : {10, 50, 100, 250, 500, 1000}) {
     const std::string source = generate_program(n);
+    const std::uint64_t cfg0 = cfg_builds.value();
+    const std::uint64_t pdom0 = pdom_builds.value();
 
     auto t0 = std::chrono::steady_clock::now();
     auto parsed = ir::parse_module(source);
@@ -96,11 +120,33 @@ int main() {
     }
     const double partition_ms = ms_since(t0);
 
-    std::printf("%10d  %12zu  %10.1f  %10.1f  %12.1f  %8zu\n", n, instrs, parse_ms,
-                check_ms, partition_ms, result.value()->chunks.size());
+    // Every generated function has a body.
+    const double cfg_per_fn = static_cast<double>(cfg_builds.value() - cfg0) / n;
+    const double pdom_per_fn = static_cast<double>(pdom_builds.value() - pdom0) / n;
+    const std::size_t chunks = result.value()->chunks.size();
+    std::printf("%10d  %12zu  %10.1f  %10.1f  %12.1f  %8zu  %9.2f  %10.2f\n", n, instrs,
+                parse_ms, check_ms, partition_ms, chunks, cfg_per_fn, pdom_per_fn);
+    json.add_row()
+        .set("functions", n)
+        .set("instructions", instrs)
+        .set("parse_ms", parse_ms)
+        .set("check_ms", check_ms)
+        .set("partition_ms", partition_ms)
+        .set("chunks", chunks)
+        .set("cfg_builds_per_fn", cfg_per_fn)
+        .set("pdom_builds_per_fn", pdom_per_fn);
+    const std::string size = ".n" + std::to_string(n);
+    json.metric("cfg_builds_per_fn" + size, cfg_per_fn)
+        .metric("pdom_builds_per_fn" + size, pdom_per_fn);
   }
-  std::printf("\nparse and check scale linearly; partitioning has a mild superlinear\n");
-  std::printf("component (symbol lookups) but stays ~100 ms at 1000 functions; the\n");
-  std::printf("stabilizing fixpoint converges in a handful of passes throughout.\n");
+  obs::set_metrics_enabled(false);
+  if (!json.write_file(json_path)) {
+    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
+    return 1;
+  }
+  std::printf("\nwrote %s\n", json_path.c_str());
+  std::printf("\nevery stage scales linearly: symbols and constants are hash lookups, and\n");
+  std::printf("each function's CFG and post-dominator tree is built once per analysis,\n");
+  std::printf("however many fixpoint passes, specializations and chunks read it.\n");
   return 0;
 }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 
+#include "obs/hooks.hpp"
+
 namespace privagic::ir {
 
 Cfg::Cfg(const Function& fn) {
+  obs::on_cfg_build();
   BasicBlock* entry = fn.entry_block();
   if (entry == nullptr) return;
 

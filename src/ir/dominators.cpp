@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/hooks.hpp"
+
 namespace privagic::ir {
 
 namespace {
@@ -90,8 +92,8 @@ bool DominatorTree::dominates(const BasicBlock* a, const BasicBlock* b) const {
   return false;
 }
 
-PostDominatorTree::PostDominatorTree(const Function& fn) {
-  Cfg cfg(fn);
+PostDominatorTree::PostDominatorTree(const Cfg& cfg) {
+  obs::on_pdom_build();
   const auto& blocks = cfg.reverse_postorder();
   if (blocks.empty()) return;
 

@@ -46,7 +46,8 @@ class DominatorTree {
 /// multiple exit blocks use a virtual exit node (represented by nullptr).
 class PostDominatorTree {
  public:
-  explicit PostDominatorTree(const Function& fn);
+  explicit PostDominatorTree(const Cfg& cfg);
+  explicit PostDominatorTree(const Function& fn) : PostDominatorTree(Cfg(fn)) {}
 
   /// Immediate post-dominator of @p bb; nullptr means the virtual exit.
   [[nodiscard]] BasicBlock* ipdom(const BasicBlock* bb) const {

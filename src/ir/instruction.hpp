@@ -53,6 +53,8 @@ class Instruction : public Value {
   [[nodiscard]] Value* operand(std::size_t i) const { return operands_[i]; }
   [[nodiscard]] std::size_t operand_count() const { return operands_.size(); }
 
+  using Value::set_name;
+
   /// Replaces operand @p i (used by mem2reg renaming and the partitioner).
   void set_operand(std::size_t i, Value* v) { operands_[i] = v; }
 

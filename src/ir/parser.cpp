@@ -491,7 +491,7 @@ class Parser {
     throw ParseError(t.line, "bad operand '" + t.text + "'");
   }
 
-  void define_local(const std::string& name, Value* v, int line) {
+  void define_local(const std::string& name, Instruction* v, int line) {
     if (name.empty()) return;
     if (!locals_.emplace(name, v).second) {
       throw ParseError(line, "redefinition of %" + name);

@@ -37,7 +37,6 @@ class Value {
   [[nodiscard]] ValueKind value_kind() const { return value_kind_; }
   [[nodiscard]] const Type* type() const { return type_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   [[nodiscard]] bool is_constant() const {
     return value_kind_ == ValueKind::kConstInt || value_kind_ == ValueKind::kConstFloat ||
@@ -49,6 +48,10 @@ class Value {
       : value_kind_(kind), type_(type), name_(std::move(name)) {}
 
   void set_type(const Type* type) { type_ = type; }
+  /// Public on Instruction only (the parser names results after building
+  /// them): functions and globals keep their creation name, which the
+  /// Module indexes them by.
+  void set_name(std::string name) { name_ = std::move(name); }
 
  private:
   ValueKind value_kind_;

@@ -464,6 +464,26 @@ inline void on_jit_code_bytes(std::uint64_t bytes) {
   }
 }
 
+// -- compiler ------------------------------------------------------------------
+
+/// An ir::Cfg was built. Pinned per defined function by
+/// bench/compiler_scalability: each pass reuses the analysis' cached graphs,
+/// so a rebuild per specialization or per chunk shows as drift.
+inline void on_cfg_build() {
+  if (metrics_enabled()) {
+    static Counter& c = MetricsRegistry::global().counter("ir.cfg_builds");
+    c.add(1);
+  }
+}
+
+/// An ir::PostDominatorTree was built (pinned with ir.cfg_builds).
+inline void on_pdom_build() {
+  if (metrics_enabled()) {
+    static Counter& c = MetricsRegistry::global().counter("ir.pdom_builds");
+    c.add(1);
+  }
+}
+
 #else  // !PRIVAGIC_TRACE — every hook is a literal no-op.
 
 [[nodiscard]] inline std::uint64_t msg_send_tick(std::uint8_t) { return 0; }
@@ -497,6 +517,8 @@ inline void on_epc_fault(std::int64_t, std::uint64_t, double) {}
 inline void on_jit_compile() {}
 inline void on_jit_deopt() {}
 inline void on_jit_code_bytes(std::uint64_t) {}
+inline void on_cfg_build() {}
+inline void on_pdom_build() {}
 
 #endif  // PRIVAGIC_TRACE
 

@@ -27,7 +27,8 @@ Histogram::Snapshot Histogram::snapshot() const {
   }
   for (const std::uint64_t c : counts) s.count += c;  // one inc per record
   s.mean = s.count != 0 ? static_cast<double>(s.sum) / static_cast<double>(s.count) : 0.0;
-  // Quantiles from the bucket CDF; a bucket's upper bound is 2^i - 1.
+  // Quantiles from the bucket CDF: a bucket's upper bound is 2^i - 1, which
+  // can exceed every recorded value, so the bound is clamped to max.
   const auto quantile = [&](double q) -> std::uint64_t {
     if (s.count == 0) return 0;
     const auto target = static_cast<std::uint64_t>(q * static_cast<double>(s.count));
@@ -35,7 +36,7 @@ Histogram::Snapshot Histogram::snapshot() const {
     for (int i = 0; i < kBuckets; ++i) {
       seen += counts[i];
       if (seen > target) {
-        return i >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << i) - 1;
+        return std::min(i >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << i) - 1, s.max);
       }
     }
     return s.max;

@@ -106,7 +106,7 @@ class Histogram {
     std::uint64_t sum = 0;
     std::uint64_t max = 0;
     double mean = 0.0;
-    std::uint64_t p50 = 0;  // bucket upper bounds (2^k - 1)
+    std::uint64_t p50 = 0;  // bucket upper bounds (2^k - 1), clamped to max
     std::uint64_t p99 = 0;
   };
   [[nodiscard]] Snapshot snapshot() const;

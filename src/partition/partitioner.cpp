@@ -395,7 +395,7 @@ class Rewriter {
       ctx.bmap[bb.get()] = ctx.chunk->create_block(bb->name());
     }
 
-    const ir::PostDominatorTree pdom(*sig.fn);
+    const ir::PostDominatorTree& pdom = analysis_.graphs(*sig.fn).pdom;
     ir::IRBuilder b(*result_->module);
     for (const auto& bb : sig.fn->blocks()) {
       if (ctx.skipped->contains(bb.get())) continue;

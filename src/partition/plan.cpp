@@ -206,10 +206,9 @@ void PartitionPlanner::plan_call(SpecPlan& plan, const ir::CallInst* call) {
 void PartitionPlanner::plan_spec(SpecPlan& plan) {
   const SpecFacts& facts = *plan.facts;
   const ir::Function* fn = facts.sig().fn;
-  const ir::PostDominatorTree pdom(*fn);
-  const ir::Cfg cfg(*fn);
+  const auto& [rpo, pdom] = analysis_.graphs(*fn);
 
-  for (ir::BasicBlock* bb : cfg.reverse_postorder()) {
+  for (ir::BasicBlock* bb : rpo) {
     for (const auto& inst : bb->instructions()) {
       // Foreign-region skipping: a branch placed in color pc makes its
       // controlled region invisible to every other chunk.

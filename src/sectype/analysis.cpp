@@ -4,7 +4,6 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "ir/dominators.hpp"
 #include "ir/mem2reg.hpp"
 
 namespace privagic::sectype {
@@ -41,9 +40,8 @@ class SpecAnalyzer {
       set_value(fn->argument(i), facts_.sig().args[i]);
     }
 
-    const ir::PostDominatorTree pdom(*fn);
-    const ir::Cfg cfg(*fn);
-    for (ir::BasicBlock* bb : cfg.reverse_postorder()) {
+    const auto& [rpo, pdom] = ta_.graphs(*fn);
+    for (ir::BasicBlock* bb : rpo) {
       for (const auto& inst : bb->instructions()) {
         // Opcode rules first (they establish the instruction's natural
         // placement), then Rule 4: a conflict between the two is exactly an
@@ -567,6 +565,7 @@ bool TypeAnalysis::run() {
   // §5.1: mem2reg first, so register inference covers every local whose
   // address is not taken.
   ir::promote_memory_to_registers(module_);
+  graphs_.clear();
 
   validate_declared_colors();
   build_entry_specs();

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/dominators.hpp"
 #include "ir/module.hpp"
 #include "sectype/color.hpp"
 #include "sectype/diagnostics.hpp"
@@ -177,6 +178,24 @@ class TypeAnalysis {
   /// All named enclave colors that appear anywhere in the program.
   [[nodiscard]] ColorSet program_colors() const;
 
+  /// What the passes read of a defined function's CFG (its reverse
+  /// postorder; the predecessor maps are dropped once the post-dominator
+  /// tree is built) and its post-dominator tree.
+  struct FunctionGraphs {
+    explicit FunctionGraphs(const ir::Function& fn) : FunctionGraphs(ir::Cfg(fn)) {}
+    explicit FunctionGraphs(const ir::Cfg& cfg) : rpo(cfg.reverse_postorder()), pdom(cfg) {}
+    std::vector<ir::BasicBlock*> rpo;
+    ir::PostDominatorTree pdom;
+  };
+
+  /// Graphs of @p fn, built on first use and shared by every fixpoint pass
+  /// and specialization, the planner, and the rewriter. run() clears them
+  /// after its mem2reg, so they describe the body the later stages read; a
+  /// caller that edits a body after run() must run() again.
+  [[nodiscard]] const FunctionGraphs& graphs(const ir::Function& fn) {
+    return graphs_.try_emplace(&fn, fn).first->second;
+  }
+
  private:
   friend class SpecAnalyzer;
 
@@ -191,6 +210,7 @@ class TypeAnalysis {
   DiagnosticEngine diags_;
   std::vector<SpecSig> entry_specs_;
   std::map<SpecSig, std::unique_ptr<SpecFacts>> specs_;
+  std::unordered_map<const ir::Function*, FunctionGraphs> graphs_;
 
   // Per-pass state.
   bool changed_ = false;

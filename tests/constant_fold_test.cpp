@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
+#include "interp/machine.hpp"
 #include "ir/constant_fold.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "partition/partitioner.hpp"
 
 namespace privagic::ir {
 namespace {
@@ -124,6 +127,42 @@ entry:
 )");
   Function* f = m->function_by_name("f");
   EXPECT_EQ(fold_constants(*m, *f), 0u);
+}
+
+TEST(ConstantFoldTest, NegativeZeroDivisorKeepsItsSignOnEveryTier) {
+  // The +0.0 addend is pooled first; the -0.0 divisor must stay its own
+  // constant through parse and partition, or 1.0 / -0.0 turns into +inf.
+  const char* text = R"(
+module "negzero"
+global f64 @one
+define i64 @main() entry {
+entry:
+  store f64 1.0, ptr<f64> @one
+  %a = load ptr<f64> @one
+  %p = fadd f64 %a, f64 0.0
+  %q = fdiv f64 %p, f64 -0.0
+  %bits = cast bitcast f64 %q to i64
+  ret i64 %bits
+}
+)";
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  std::int64_t want;
+  std::memcpy(&want, &neg_inf, 8);
+  for (const interp::ExecMode mode : {interp::ExecMode::kTreeWalk, interp::ExecMode::kDecoded,
+                                      interp::ExecMode::kFused, interp::ExecMode::kNative}) {
+    auto m = parse_or_die(text);
+    const auto& insts = m->function_by_name("main")->entry_block()->instructions();
+    EXPECT_NE(insts[2]->operand(1), insts[3]->operand(1));  // 0.0 vs -0.0
+    sectype::TypeAnalysis analysis(*m, sectype::Mode::kHardened);
+    ASSERT_TRUE(analysis.run()) << analysis.diagnostics().to_string();
+    auto program = partition::partition_module(analysis);
+    ASSERT_TRUE(program.ok()) << program.message();
+    interp::Machine machine(*program.value(), 0, mode);
+    if (mode == interp::ExecMode::kNative) machine.set_jit_threshold(0);
+    auto r = machine.call("main", {});
+    ASSERT_TRUE(r.ok()) << r.message();
+    EXPECT_EQ(r.value(), want) << "tier " << static_cast<int>(mode);
+  }
 }
 
 }  // namespace

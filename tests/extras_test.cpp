@@ -42,6 +42,13 @@ struct ArithCase {
   std::int64_t expect;
 };
 
+// Without this, gtest prints the case as raw bytes, including the addresses
+// of the string literals; those move on every run of a PIE binary, so the
+// discovered test names (which carry the printed parameter) would too.
+void PrintTo(const ArithCase& c, std::ostream* os) {
+  *os << c.op << " with " << c.a << ", " << c.b << " -> " << c.expect;
+}
+
 class ArithmeticTest : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(ArithmeticTest, MatchesHostSemantics) {

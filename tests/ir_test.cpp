@@ -2,6 +2,8 @@
 // round-trips, CFG/dominators, verifier, mem2reg, and cleanup passes.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "ir/builder.hpp"
@@ -781,6 +783,139 @@ entry:
   EXPECT_EQ(reachable.size(), 4u);  // top, mid, leaf, ext
   EXPECT_FALSE(reachable.contains(m.function_by_name("island")));
   EXPECT_EQ(cg.callers(m.function_by_name("leaf")).size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Module name indices and constant pools
+// ---------------------------------------------------------------------------
+
+TEST(ModuleIndexTest, LookupsFollowErase) {
+  Module m("m");
+  const FuncType* void_fn = m.types().func(m.types().void_type(), {});
+  Function* f = m.create_function(void_fn, "f");
+  Function* g = m.create_function(void_fn, "g");
+  GlobalVariable* x = m.create_global(m.types().i64(), "x");
+  GlobalVariable* y = m.create_global(m.types().i64(), "y");
+  EXPECT_EQ(m.function_by_name("f"), f);
+  EXPECT_EQ(m.global_by_name("y"), y);
+
+  m.erase_function("f");
+  EXPECT_EQ(m.function_by_name("f"), nullptr);
+  EXPECT_EQ(m.function_by_name("g"), g);
+  m.erase_global(x->name());  // the name may be the erased global's own
+  EXPECT_EQ(m.global_by_name("x"), nullptr);
+  EXPECT_EQ(m.global_by_name("y"), y);
+  m.erase_function("absent");  // a no-op
+  EXPECT_EQ(m.functions().size(), 1u);
+  EXPECT_EQ(m.globals().size(), 1u);
+
+  // A name freed by erase can be created again.
+  Function* f2 = m.create_function(void_fn, "f");
+  EXPECT_EQ(m.function_by_name("f"), f2);
+}
+
+TEST(ModuleIndexTest, DuplicateNamesResolveToTheEarliestSurvivor) {
+  Module m("m");
+  const FuncType* void_fn = m.types().func(m.types().void_type(), {});
+  Function* first = m.create_function(void_fn, "dup");
+  Function* second = m.create_function(void_fn, "dup");
+  Function* third = m.create_function(void_fn, "dup");
+  EXPECT_EQ(m.function_by_name("dup"), first);
+  m.erase_function("dup");
+  EXPECT_EQ(m.function_by_name("dup"), second);
+  m.erase_function("dup");
+  EXPECT_EQ(m.function_by_name("dup"), third);
+  m.erase_function("dup");
+  EXPECT_EQ(m.function_by_name("dup"), nullptr);
+  EXPECT_TRUE(m.functions().empty());
+
+  GlobalVariable* g1 = m.create_global(m.types().i32(), "g");
+  GlobalVariable* g2 = m.create_global(m.types().i64(), "g");
+  EXPECT_EQ(m.global_by_name("g"), g1);
+  m.erase_global(g1->name());
+  EXPECT_EQ(m.global_by_name("g"), g2);
+}
+
+TEST(ModuleIndexTest, ParserRejectsDuplicateSymbols) {
+  EXPECT_FALSE(parse_module(R"(module "m"
+define void @f() {
+entry:
+  ret void
+}
+define void @f() {
+entry:
+  ret void
+})").ok());
+  EXPECT_FALSE(parse_module("module \"m\" declare void @f() define void @f() {\nentry:\n  ret void\n}")
+                   .ok());
+  EXPECT_FALSE(parse_module("module \"m\" global i64 @g global i32 @g color(blue)").ok());
+}
+
+TEST(ConstPoolTest, IntsAreInternedPerWidthAndValue) {
+  Module m("m");
+  ConstInt* a = m.const_i32(7);
+  EXPECT_EQ(m.const_i32(7), a);
+  EXPECT_EQ(m.const_int(m.types().i32(), 7), a);
+  ConstInt* b = m.const_i64(7);
+  EXPECT_NE(b, a);
+  EXPECT_EQ(b->type(), m.types().i64());
+  EXPECT_NE(m.const_i32(-7), a);
+  EXPECT_EQ(m.const_bool(true), m.const_int(m.types().i1(), 1));
+  EXPECT_NE(m.const_bool(true), m.const_int(m.types().i8(), 1));
+}
+
+TEST(ConstPoolTest, NullsAreInternedPerPointerType) {
+  Module m("m");
+  const PtrType* p32 = m.types().ptr(m.types().i32());
+  const PtrType* p64 = m.types().ptr(m.types().i64());
+  EXPECT_EQ(m.const_null(p32), m.const_null(p32));
+  EXPECT_NE(m.const_null(p32), m.const_null(p64));
+  EXPECT_EQ(m.const_null(p64)->type(), p64);
+}
+
+TEST(ConstPoolTest, FloatsAreInternedByBitPattern) {
+  Module m("m");
+  ConstFloat* pos = m.const_f64(0.0);
+  ConstFloat* neg = m.const_f64(-0.0);
+  EXPECT_NE(pos, neg);  // == would merge them
+  EXPECT_TRUE(std::signbit(neg->value()));
+  EXPECT_EQ(m.const_f64(-0.0), neg);
+  EXPECT_EQ(m.const_f64(0.0), pos);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ConstFloat* n = m.const_f64(nan);
+  EXPECT_EQ(m.const_f64(nan), n);  // == would never match a NaN
+  EXPECT_TRUE(std::isnan(n->value()));
+}
+
+TEST(ConstPoolTest, NegativeZeroOperandSurvivesPrintAndReparse) {
+  // Once +0.0 is pooled, a -0.0 operand must not resolve to it.
+  const char* text = R"(
+module "m"
+define f64 @f(f64 %a) {
+entry:
+  %p = fadd f64 %a, f64 0.0
+  %q = fdiv f64 %p, f64 -0.0
+  ret f64 %q
+}
+)";
+  auto parsed = parse_module(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.message();
+  const Function* f = parsed.value()->function_by_name("f");
+  const auto& insts = f->entry_block()->instructions();
+  const auto* fadd = insts[0].get();
+  const auto* fdiv = insts[1].get();
+  const auto* zero = static_cast<const ConstFloat*>(fadd->operand(1));
+  const auto* neg_zero = static_cast<const ConstFloat*>(fdiv->operand(1));
+  EXPECT_NE(zero, neg_zero);
+  EXPECT_FALSE(std::signbit(zero->value()));
+  EXPECT_TRUE(std::signbit(neg_zero->value()));
+
+  const std::string printed = print_module(*parsed.value());
+  EXPECT_NE(printed.find("fdiv f64 %p, f64 -0"), std::string::npos) << printed;
+  auto reparsed = parse_module(printed);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.message();
+  EXPECT_EQ(print_module(*reparsed.value()), printed);
 }
 
 }  // namespace

@@ -138,7 +138,24 @@ TEST_F(ObsTest, HistogramSnapshotTracksCountSumMaxAndQuantiles) {
   EXPECT_EQ(s.max, 1000u);
   EXPECT_DOUBLE_EQ(s.mean, (99.0 * 3 + 1000) / 100.0);
   EXPECT_EQ(s.p50, 3u);      // bucket for bit_width(3)=2 has upper bound 2^2-1
-  EXPECT_EQ(s.p99, 1023u);   // 1000 lands in the 2^10-1 bucket
+  EXPECT_EQ(s.p99, 1000u);   // 1000 lands in the 2^10-1 bucket, clamped to max
+}
+
+TEST_F(ObsTest, HistogramQuantilesNeverExceedTheMax) {
+  // Every value in one bucket whose upper bound (2^17 - 1) no record reaches.
+  Histogram h;
+  for (std::uint64_t v : {70000u, 90000u, 110000u, 129267u}) h.record(v);
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.max, 129267u);
+  EXPECT_LE(s.p50, s.p99);
+  EXPECT_LE(s.p99, s.max);
+  EXPECT_EQ(s.p99, 129267u);
+
+  Histogram one;
+  one.record(5);
+  EXPECT_EQ(one.snapshot().p50, 5u);
+  EXPECT_EQ(one.snapshot().p99, 5u);
+  EXPECT_EQ(Histogram().snapshot().p99, 0u);
 }
 
 TEST_F(ObsTest, PerColorCounterFansOutAndOverflows) {
