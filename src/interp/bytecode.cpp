@@ -502,10 +502,9 @@ BytecodeExecutor::~BytecodeExecutor() {
   // Frames above the entry watermark are dead whether we returned or threw;
   // the arena itself outlives us (it is the thread's).
   arena_.sp = entry_sp_;
-  // Unflushed ops (normal return or unwind) still reach the global counter —
-  // instructions_executed() equals the tree-walker's count either way. No
-  // budget check here: destructors must not throw.
-  if (pending_ != 0) m_.executed_.fetch_add(pending_, std::memory_order_relaxed);
+  // Unflushed ops (normal return or unwind) still reach the meter —
+  // instructions_executed() equals the tree-walker's count either way.
+  if (pending_ != 0) rt_.meter().executed.fetch_add(pending_, std::memory_order_relaxed);
 }
 
 std::size_t BytecodeExecutor::push_frame(const DecodedFunction* f,
@@ -531,13 +530,19 @@ std::size_t BytecodeExecutor::push_frame(const DecodedFunction* f,
   return base;
 }
 
-void BytecodeExecutor::flush_counter() {
+std::uint64_t BytecodeExecutor::charge_pending() {
   obs::on_budget_flush(pending_);
   const std::uint64_t total =
-      m_.executed_.fetch_add(pending_, std::memory_order_relaxed) + pending_;
+      rt_.meter().executed.fetch_add(pending_, std::memory_order_relaxed) + pending_;
   pending_ = 0;
-  if (total > Machine::kMaxInstructions) {
-    throw InterpError("instruction budget exhausted (runaway loop?)");
+  return total;
+}
+
+void BytecodeExecutor::flush_counter() {
+  const std::uint64_t total = charge_pending();
+  if (total - rt_.meter().call_start.load(std::memory_order_relaxed) >
+      Machine::kMaxInstructions) {
+    throw BudgetExhausted();
   }
 }
 
@@ -620,10 +625,7 @@ std::int64_t BytecodeExecutor::call_indirect(const DecodedFunction* f, const Dec
     const DecodedFunction* df = m_.code_->get(callee);
     return run(df, view);
   }
-  // Flush point: external code may depend on messages batched but not yet
-  // delivered (same rule as the tree-walker's dispatch()).
-  rt_.flush_current();
-  return m_.call_external(callee, view, me_);
+  return m_.call_external(rt_, callee, view, me_);
 }
 
 std::int64_t BytecodeExecutor::run_switch(const DecodedFunction* f,
@@ -778,7 +780,7 @@ std::int64_t BytecodeExecutor::run_switch(const DecodedFunction* f,
       // executor unwinds. The flush is one relaxed fetch_add against ops
       // that already take a mutex + condvar.
       case Op::kSpawn: {
-        flush_counter();
+        charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
         const std::int64_t chunk = frame[slots[0]];
         const std::int64_t color =
@@ -795,28 +797,28 @@ std::int64_t BytecodeExecutor::run_switch(const DecodedFunction* f,
         break;
       }
       case Op::kCont: {
-        flush_counter();
+        charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
         rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
         if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
         break;
       }
       case Op::kWait: {
-        flush_counter();
+        charge_pending();
         const std::int64_t r =
             rt_.wait(static_cast<std::size_t>(me_), frame[f->arg_pool[o.args_first]]);
         if ((o.flags & kHasResult) != 0) frame[o.dest] = r;
         break;
       }
       case Op::kAck: {
-        flush_counter();
+        charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
         rt_.ack(frame[slots[0]], frame[slots[1]]);
         if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
         break;
       }
       case Op::kWaitAck:
-        flush_counter();
+        charge_pending();
         rt_.wait_ack(static_cast<std::size_t>(me_), frame[f->arg_pool[o.args_first]]);
         if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
         break;
@@ -836,9 +838,8 @@ std::int64_t BytecodeExecutor::run_switch(const DecodedFunction* f,
           call_args = heap.data();
         }
         for (std::uint16_t i = 0; i < o.nargs; ++i) call_args[i] = frame[slots[i]];
-        rt_.flush_current();  // flush point: leaving the runtime's control
         const std::int64_t r =
-            m_.call_external(static_cast<const ir::Function*>(o.target),
+            m_.call_external(rt_, static_cast<const ir::Function*>(o.target),
                              std::span<const std::int64_t>(call_args, o.nargs), me_);
         // The host callback may have re-entered the machine on this thread
         // (nested executors share the arena).

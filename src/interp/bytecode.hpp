@@ -17,11 +17,12 @@
 // operand read at runtime is a single indexed load — no value-kind branch.
 //
 // Instruction accounting is batched: the executor counts locally (one
-// register increment per op) and flushes into Machine::executed_ at branch
-// points every kCountFlushBatch ops (and unconditionally on unwind), so the
-// budget check costs one atomic RMW per few thousand instructions instead of
-// one per instruction, while instructions_executed() observed after a call
-// is exactly the tree-walker's count — including on fault paths.
+// register increment per op) and flushes into the worker group's instruction
+// meter at branch points every kCountFlushBatch ops (and unconditionally on
+// unwind), so the per-call budget check costs one atomic RMW per few thousand
+// instructions instead of one per instruction, while instructions_executed()
+// observed after a call is exactly the tree-walker's count — including on
+// fault paths.
 //
 // Decode-time resolution failures (unknown colors in dead code, entry-block
 // phis) become kTrap ops that throw the tree-walker's exact message if — and
@@ -266,7 +267,7 @@ struct ExecArena {
   std::size_t sp = 0;
 };
 
-// Flush the executor's local instruction count into Machine::executed_ at
+// Flush the executor's local instruction count into the group's meter at
 // most every this many ops (checked at branch points, where loops must pass).
 // Namespace-scope so the JIT emitter (jit.cpp) bakes the same threshold into
 // compiled flush checks.
@@ -332,7 +333,13 @@ class BytecodeExecutor {
   std::int64_t mem_load(std::uint64_t addr, std::uint64_t size, unsigned sx_bits);
   void mem_store(std::uint64_t addr, std::int64_t value, std::uint64_t size);
 
-  /// Adds pending_ to the machine-wide counter and enforces the budget.
+  /// Adds pending_ to the worker group's instruction meter; returns the
+  /// meter's new total. Mailbox ops call this, so a parked worker never
+  /// holds uncharged ops.
+  std::uint64_t charge_pending();
+  /// charge_pending(), then enforces the per-call budget. Only branch sites
+  /// call this: every runaway loop passes one, and the thread that throws is
+  /// the one running away, not a caller that merely waits on it.
   void flush_counter();
 
   std::int64_t call_function(const DecodedFunction* f, const DecodedOp& o,

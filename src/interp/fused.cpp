@@ -279,7 +279,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       // Mailbox ops flush the batched counter up front — see run_switch for
       // the rationale (quiescent-point agreement with the tree-walker).
       OPCASE(kSpawn) {
-        flush_counter();
+        charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
         const std::int64_t chunk = frame[slots[0]];
         const std::int64_t color =
@@ -297,7 +297,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       NEXT();
 
       OPCASE(kCont) {
-        flush_counter();
+        charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
         rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
@@ -305,7 +305,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       NEXT();
 
       OPCASE(kWait) {
-        flush_counter();
+        charge_pending();
         const std::int64_t r =
             rt_.wait(static_cast<std::size_t>(me_), frame[f->arg_pool[o->args_first]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
@@ -313,7 +313,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       NEXT();
 
       OPCASE(kAck) {
-        flush_counter();
+        charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
         rt_.ack(frame[slots[0]], frame[slots[1]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
@@ -321,7 +321,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       NEXT();
 
       OPCASE(kWaitAck) {
-        flush_counter();
+        charge_pending();
         rt_.wait_ack(static_cast<std::size_t>(me_), frame[f->arg_pool[o->args_first]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
       }
@@ -344,9 +344,8 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
           call_args = heap.data();
         }
         for (std::uint16_t i = 0; i < o->nargs; ++i) call_args[i] = frame[slots[i]];
-        rt_.flush_current();  // flush point: leaving the runtime's control
         const std::int64_t r =
-            m_.call_external(static_cast<const ir::Function*>(o->target),
+            m_.call_external(rt_, static_cast<const ir::Function*>(o->target),
                              std::span<const std::int64_t>(call_args, o->nargs), me_);
         // The host callback may have re-entered the machine on this thread.
         frame = arena_.stack.data() + base;

@@ -90,8 +90,15 @@ class Executor {
       for (const auto& inst_ptr : bb->instructions()) {
         const ir::Instruction* inst = inst_ptr.get();
         if (inst->opcode() == ir::Opcode::kPhi) continue;
-        if (++m_.executed_ > Machine::kMaxInstructions) {
-          throw InterpError("instruction budget exhausted (runaway loop?)");
+        // Every instruction is charged; the call's budget is checked at
+        // branches, where any runaway loop must pass (the bytecode tiers'
+        // flush sites), so a caller waiting on a runaway worker never throws.
+        runtime::ThreadRuntime::InstructionMeter& meter = rt_.meter();
+        const std::uint64_t total = meter.executed.fetch_add(1, std::memory_order_relaxed) + 1;
+        if ((inst->opcode() == ir::Opcode::kBr || inst->opcode() == ir::Opcode::kCondBr) &&
+            total - meter.call_start.load(std::memory_order_relaxed) >
+                Machine::kMaxInstructions) {
+          throw BudgetExhausted();
         }
         switch (inst->opcode()) {
           case ir::Opcode::kRet: {
@@ -404,10 +411,7 @@ class Executor {
       Executor nested(m_, rt_, me_);
       return nested.run(callee, args);
     }
-    // Flush point: external code may block on effects of messages we have
-    // batched but not delivered (net_send → another machine thread, etc.).
-    rt_.flush_current();
-    return m_.call_external(callee, args, me_);
+    return m_.call_external(rt_, callee, args, me_);
   }
 
   Machine& m_;
@@ -582,6 +586,8 @@ void Machine::run_chunk(runtime::ThreadRuntime& rt, std::uint64_t chunk_id, std:
           first_error_code_ = fault->code();
         } else if (dynamic_cast<const sgx::EpcExhausted*>(&e) != nullptr) {
           first_error_code_ = sgx::EpcExhausted::code();
+        } else if (dynamic_cast<const BudgetExhausted*>(&e) != nullptr) {
+          first_error_code_ = BudgetExhausted::code();
         } else {
           first_error_code_ = StatusCode::kGeneric;
         }
@@ -658,6 +664,16 @@ std::uint64_t Machine::rejected_spawns() const {
   return total;
 }
 
+std::uint64_t Machine::instructions_executed() const {
+  const std::lock_guard<std::mutex> lock(runtimes_mu_);
+  std::uint64_t total = 0;
+  for (const auto& [tid, rt] : runtimes_) {
+    (void)tid;
+    total += rt->meter().executed.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 runtime::RuntimeStats::Snapshot Machine::runtime_stats() const {
   runtime::RuntimeStats total;
   {
@@ -726,8 +742,14 @@ const bc::NativeCode* Machine::jit_compile(const bc::DecodedFunction* df) {
   return jit_ != nullptr ? jit_->compile(df) : nullptr;
 }
 
-std::int64_t Machine::call_external(const ir::Function* callee,
+std::int64_t Machine::call_external(runtime::ThreadRuntime& rt, const ir::Function* callee,
                                     std::span<const std::int64_t> args, sgx::ColorId me) {
+  // Flush point (DESIGN.md §11): host code may block on effects of messages
+  // this thread batched but has not delivered (net_send → another machine
+  // thread, etc.). An `ignore` function is not one: it is a value boundary
+  // (classify/declassify/encrypt) that runs inside the calling partition and
+  // never blocks on the runtime, so the batch keeps growing across it.
+  if (!callee->is_ignore()) rt.flush_current();
   if (external_log_enabled_.load(std::memory_order_relaxed)) {
     std::ostringstream entry;
     entry << callee->name() << "(";
@@ -785,6 +807,18 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
   CallSpan span(span_token);
   try {
     runtime::ThreadRuntime& rt = runtime_for_current_thread();
+    // The instruction budget is per outermost call: a host callback that
+    // re-enters the machine on this thread runs inside the caller's budget.
+    struct CallBudget {
+      runtime::ThreadRuntime::InstructionMeter& meter;
+      explicit CallBudget(runtime::ThreadRuntime::InstructionMeter& m) : meter(m) {
+        if (meter.depth++ == 0) {
+          meter.call_start.store(meter.executed.load(std::memory_order_relaxed),
+                                 std::memory_order_relaxed);
+        }
+      }
+      ~CallBudget() { --meter.depth; }
+    } budget(rt.meter());
     const std::int64_t r = exec_function(rt, fn, args, sgx::kUnsafe);
     // Flush point: the application thread may now leave the runtime's
     // control for arbitrarily long (this is the interface boundary), so any
@@ -808,6 +842,9 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
     // typed code the worker-side path records, so all tiers and both
     // throw sites look identical to callers.
     return Result<std::int64_t>(Status::error(sgx::EpcExhausted::code(), e.what()));
+  } catch (const BudgetExhausted& e) {
+    if (auto failed = take_worker_error()) return *failed;  // the runaway was a worker
+    return Result<std::int64_t>(Status::error(BudgetExhausted::code(), e.what()));
   } catch (const std::exception& e) {
     return Result<std::int64_t>::error(e.what());
   }

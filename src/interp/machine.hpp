@@ -32,6 +32,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <string>
 #include <vector>
@@ -68,6 +69,15 @@ struct NativeCode;
 /// PRIVAGIC_JIT probe, kNative degrades to kFused semantics (and identical
 /// results — that is the point of the 4-way equivalence matrix).
 enum class ExecMode { kDecoded, kTreeWalk, kFused, kNative };
+
+/// Thrown when one interface call, with every chunk the workers run for it,
+/// executes more than Machine::kMaxInstructions (a runaway loop). Machine::call
+/// surfaces it as StatusCode::kBudgetExhausted on every tier.
+class BudgetExhausted : public std::runtime_error {
+ public:
+  BudgetExhausted() : std::runtime_error("instruction budget exhausted (runaway loop?)") {}
+  [[nodiscard]] static StatusCode code() { return StatusCode::kBudgetExhausted; }
+};
 
 class Machine {
  public:
@@ -128,8 +138,9 @@ class Machine {
   /// tests inspect listings through this.
   [[nodiscard]] const bc::ProgramCode* program_code() const { return code_.get(); }
 
-  /// Total instructions executed (all workers).
-  [[nodiscard]] std::uint64_t instructions_executed() const { return executed_; }
+  /// Total instructions executed over the machine's lifetime (all
+  /// application threads and workers).
+  [[nodiscard]] std::uint64_t instructions_executed() const;
 
   /// Attacker hook: injects a forged spawn message directly into a worker's
   /// mailbox (the queues live in unsafe memory, §8) — the spawn guard must
@@ -269,10 +280,11 @@ class Machine {
                  std::int64_t leader, std::int64_t flags);
   std::int64_t exec_function(runtime::ThreadRuntime& rt, const ir::Function* fn,
                              std::span<const std::int64_t> args, sgx::ColorId me);
-  /// Dispatches a call to a declaration: records it in the external log when
-  /// enabled, then invokes the bound handler (unbound externals return 0).
-  /// Shared by both engines.
-  std::int64_t call_external(const ir::Function* callee,
+  /// Dispatches a call to a declaration: flushes @p rt's outbox unless the
+  /// callee is an `ignore` boundary (DESIGN.md §11), records the call in the
+  /// external log when enabled, then invokes the bound handler (unbound
+  /// externals return 0). The one external-call path of every tier.
+  std::int64_t call_external(runtime::ThreadRuntime& rt, const ir::Function* callee,
                              std::span<const std::int64_t> args, sgx::ColorId me);
   /// Snapshots and clears the first worker-side failure of this call, as a
   /// ready-to-return error Result; std::nullopt when no worker failed.
@@ -312,7 +324,6 @@ class Machine {
   std::vector<std::string> external_log_;
   std::string first_error_;  // first worker-side failure, surfaced by call()
   StatusCode first_error_code_ = StatusCode::kGeneric;
-  std::atomic<std::uint64_t> executed_{0};
   // Host-thread-set, worker-thread-read flags. They were plain bools — an
   // unsynchronized read under TSan when a test toggles them after workers
   // exist — and carry no ordering requirement, so relaxed atomics suffice.
@@ -331,6 +342,9 @@ class Machine {
   std::size_t call_path_max_batch_ = runtime::RecoveryOptions{}.max_batch;
   bool call_path_adaptive_wait_ = true;
   bool call_path_direct_dispatch_ = true;
+  /// Instruction budget of ONE interface call, counting every chunk the
+  /// workers run for it (DESIGN.md §9); a long-lived machine may execute
+  /// any number of budget-sized calls.
   static constexpr std::uint64_t kMaxInstructions = 200'000'000;
   static constexpr std::uint64_t kPointerAuthSecret = 0xC0FFEE123456789Bull;
   // Default promotion threshold in sampled hot ticks. hot_ticks advances in

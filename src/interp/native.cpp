@@ -92,7 +92,7 @@ void NativeHelpers::big_op(NativeCtx* ctx, std::uint64_t pc) {
       // Mailbox ops flush the batched counter up front — the same
       // quiescent-point agreement run_switch and run_fused keep.
       case Op::kSpawn: {
-        ex->flush_counter();
+        ex->charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
         const std::int64_t chunk = frame[slots[0]];
         const std::int64_t color =
@@ -109,28 +109,28 @@ void NativeHelpers::big_op(NativeCtx* ctx, std::uint64_t pc) {
         break;
       }
       case Op::kCont: {
-        ex->flush_counter();
+        ex->charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
         ex->rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
         break;
       }
       case Op::kWait: {
-        ex->flush_counter();
+        ex->charge_pending();
         const std::int64_t r = ex->rt_.wait(static_cast<std::size_t>(ex->me_),
                                             frame[f->arg_pool[o->args_first]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
         break;
       }
       case Op::kAck: {
-        ex->flush_counter();
+        ex->charge_pending();
         const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
         ex->rt_.ack(frame[slots[0]], frame[slots[1]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
         break;
       }
       case Op::kWaitAck: {
-        ex->flush_counter();
+        ex->charge_pending();
         ex->rt_.wait_ack(static_cast<std::size_t>(ex->me_),
                          frame[f->arg_pool[o->args_first]]);
         if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
@@ -152,9 +152,8 @@ void NativeHelpers::big_op(NativeCtx* ctx, std::uint64_t pc) {
           call_args = heap.data();
         }
         for (std::uint16_t i = 0; i < o->nargs; ++i) call_args[i] = frame[slots[i]];
-        ex->rt_.flush_current();  // flush point: leaving the runtime's control
         const std::int64_t r =
-            m.call_external(static_cast<const ir::Function*>(o->target),
+            m.call_external(ex->rt_, static_cast<const ir::Function*>(o->target),
                             std::span<const std::int64_t>(call_args, o->nargs),
                             ex->me_);
         // The host callback may have re-entered the machine on this thread.

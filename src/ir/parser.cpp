@@ -1,7 +1,9 @@
 #include "ir/parser.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -24,6 +26,7 @@ enum class Tok : std::uint8_t {
   kGlobal,   // @name
   kInt,      // integer literal (possibly negative)
   kFloat,    // float literal
+  kHexFloat, // 0x + up to 16 hex digits: an f64's IEEE-754 bit pattern
   kString,   // "..."
   kPunct,    // single punctuation char in text[0]
 };
@@ -68,6 +71,15 @@ class Lexer {
       while (pos_ < src_.size() && src_[pos_] != '"') s.push_back(src_[pos_++]);
       if (pos_ < src_.size()) ++pos_;  // closing quote
       current_ = {Tok::kString, std::move(s), line_};
+      return;
+    }
+    if (c == '0' && pos_ + 1 < src_.size() && (src_[pos_ + 1] == 'x' || src_[pos_ + 1] == 'X')) {
+      std::string hex = "0x";
+      pos_ += 2;
+      while (pos_ < src_.size() && std::isxdigit(static_cast<unsigned char>(src_[pos_])) != 0) {
+        hex.push_back(src_[pos_++]);
+      }
+      current_ = {Tok::kHexFloat, std::move(hex), line_};
       return;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
@@ -183,6 +195,20 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const { throw ParseError(lex_.line(), what); }
+
+  /// The f64 constant a literal token spells under a float annotation:
+  /// decimal (`2`, `-0`, `1.5e-3`) or, for values decimal cannot spell (NaN,
+  /// ±inf), the IEEE-754 bit pattern in hex — the printer's two forms.
+  ConstFloat* f64_literal(const Token& t) {
+    if (t.kind != Tok::kHexFloat) return module_->const_f64(std::strtod(t.text.c_str(), nullptr));
+    if (t.text.size() < 3 || t.text.size() > 18) {
+      throw ParseError(t.line, "bad f64 bit pattern '" + t.text + "'");
+    }
+    const std::uint64_t bits = std::strtoull(t.text.c_str() + 2, nullptr, 16);
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    return module_->const_f64(d);
+  }
 
   Token expect(Tok kind, const char* what) {
     if (lex_.peek().kind != kind) {
@@ -465,17 +491,15 @@ class Parser {
         throw ParseError(t.line, "unknown global @" + t.text);
       }
       case Tok::kInt: {
-        if (type->is_float()) {
-          // `f64 2` — an integer literal with a float annotation.
-          return module_->const_f64(std::strtod(t.text.c_str(), nullptr));
-        }
+        if (type->is_float()) return f64_literal(t);  // `f64 2`: integer spelling
         const auto* it = dynamic_cast<const IntType*>(type);
         if (it == nullptr) throw ParseError(t.line, "integer literal with non-integer type");
         return module_->const_int(it, std::strtoll(t.text.c_str(), nullptr, 10));
       }
-      case Tok::kFloat: {
+      case Tok::kFloat:
+      case Tok::kHexFloat: {
         if (!type->is_float()) throw ParseError(t.line, "float literal with non-float type");
-        return module_->const_f64(std::strtod(t.text.c_str(), nullptr));
+        return f64_literal(t);
       }
       case Tok::kIdent: {
         if (t.text == "null") {
@@ -645,15 +669,12 @@ class Parser {
       } else {
         pending_name = vt.text;  // forward reference, fixed up later
       }
-    } else if (vt.kind == Tok::kInt) {
-      if (type->is_float()) {
-        value = module_->const_f64(std::strtod(vt.text.c_str(), nullptr));
-      } else {
-        value = module_->const_int(static_cast<const IntType*>(type),
-                                   std::strtoll(vt.text.c_str(), nullptr, 10));
-      }
-    } else if (vt.kind == Tok::kFloat) {
-      value = module_->const_f64(std::strtod(vt.text.c_str(), nullptr));
+    } else if (vt.kind == Tok::kInt && !type->is_float()) {
+      value = module_->const_int(static_cast<const IntType*>(type),
+                                 std::strtoll(vt.text.c_str(), nullptr, 10));
+    } else if (vt.kind == Tok::kInt || vt.kind == Tok::kFloat || vt.kind == Tok::kHexFloat) {
+      if (!type->is_float()) fail("float literal with non-float type");
+      value = f64_literal(vt);
     } else if (vt.kind == Tok::kIdent && vt.text == "null") {
       value = module_->const_null(static_cast<const PtrType*>(type));
     } else if (vt.kind == Tok::kGlobal) {

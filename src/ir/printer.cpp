@@ -1,5 +1,10 @@
 #include "ir/printer.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -76,17 +81,29 @@ std::string_view cast_name(CastKind kind) {
   return "?";
 }
 
+/// An f64 the parser reads back bit-equal: the shortest decimal that
+/// round-trips (`0.1`, `-0`, `5e-324`), or for NaN and ±inf — which decimal
+/// cannot spell — the IEEE-754 bit pattern in hex (`0x7FF0000000000000`).
+std::string f64_literal(double d) {
+  char buf[32];
+  if (std::isfinite(d)) {
+    const auto res = std::to_chars(buf, buf + sizeof buf, d);
+    return std::string(buf, res.ptr);
+  }
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  std::snprintf(buf, sizeof buf, "0x%016llX", static_cast<unsigned long long>(bits));
+  return buf;
+}
+
 /// Prints an operand with its type: `i32 %x`, `i32 42`, `ptr<i8> @g`, `null`.
 std::string operand_str(const Value* v, const NameMap& names) {
   switch (v->value_kind()) {
     case ValueKind::kConstInt:
       return v->type()->to_string() + " " +
              std::to_string(static_cast<const ConstInt*>(v)->value());
-    case ValueKind::kConstFloat: {
-      std::ostringstream os;
-      os << "f64 " << static_cast<const ConstFloat*>(v)->value();
-      return os.str();
-    }
+    case ValueKind::kConstFloat:
+      return "f64 " + f64_literal(static_cast<const ConstFloat*>(v)->value());
     case ValueKind::kConstNull:
       return v->type()->to_string() + " null";
     case ValueKind::kGlobal:

@@ -50,11 +50,12 @@
 // when (a) the slot fills, (b) the sender reaches any blocking point (every
 // wait / the worker idle loop / shutdown), or (c) the embedder calls
 // flush_current() before leaving the runtime (the interpreter flushes before
-// external calls and at interface-call return). Because every thread flushes
-// before it can observe or wait on anything, per-(sender,target) FIFO order
-// and the §5 visible-effect barriers are exactly those of the unbatched
-// path; all recovery bookkeeping (seq, MAC, sent log, counters) still
-// happens at enqueue time, so retransmission and the scripted fault
+// host external calls — not `ignore` boundaries, which run inside the
+// calling partition — and at interface-call return). Because every thread
+// flushes before it can observe or wait on anything, per-(sender,target)
+// FIFO order and the §5 visible-effect barriers are exactly those of the
+// unbatched path; all recovery bookkeeping (seq, MAC, sent log, counters)
+// still happens at enqueue time, so retransmission and the scripted fault
 // crossings are unchanged.
 //
 // Same-color direct dispatch: a message whose target color IS the sender's
@@ -374,9 +375,9 @@ class ThreadRuntime {
 
   /// Flushes every batch the *calling thread* has deferred. Every wait and
   /// the worker idle loop flush implicitly; embedders call this before
-  /// leaving the runtime's control for a while (the interpreter: before an
-  /// external call, at interface-call return) so no recipient waits on a
-  /// message parked in our outbox.
+  /// leaving the runtime's control for a while (the interpreter: before a
+  /// non-`ignore` external call, at interface-call return) so no recipient
+  /// waits on a message parked in our outbox.
   void flush_current() { flush_outbox(thread_outbox(0)); }
 
   /// Blocks worker @p me until a cont with @p tag arrives; serves spawns
@@ -388,6 +389,18 @@ class ThreadRuntime {
   void wait_ack(std::size_t me, std::int64_t tag) {
     wait_kind(index(static_cast<std::int64_t>(me)), MsgKind::kAck, tag);
   }
+
+  /// Instruction meter of this worker group. The embedder charges every
+  /// instruction any thread of the group executes and holds the share of
+  /// the interface call in progress (the application thread's, with every
+  /// chunk the workers run for it) to its budget; the runtime never reads it.
+  struct InstructionMeter {
+    std::atomic<std::uint64_t> executed{0};    // lifetime total
+    std::atomic<std::uint64_t> call_start{0};  // `executed` when the outermost call began
+    int depth = 0;  // interface calls in progress (application thread only)
+  };
+  [[nodiscard]] InstructionMeter& meter() { return meter_; }
+  [[nodiscard]] const InstructionMeter& meter() const { return meter_; }
 
   // -- Observability -----------------------------------------------------------
 
@@ -1441,6 +1454,7 @@ class ThreadRuntime {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::thread> workers_;
   RuntimeStats stats_;
+  InstructionMeter meter_;
   std::atomic<std::uint64_t> next_seq_{1};
   std::vector<SeqWindow> seen_;                 // per color; consumer-thread-only
   std::mutex sent_mu_;

@@ -29,6 +29,7 @@ enum class StatusCode {
   kRetransmitExhausted,  // every retry retransmitted and the window still ran dry
   kAttestationFailed,    // a restarting enclave presented a stale/tampered checkpoint
   kEpcExhausted,         // an allocation exceeded a color's enforced EPC budget
+  kBudgetExhausted,      // one interface call exceeded the instruction budget
 };
 
 /// Short stable name for a code ("timeout", "worker-poisoned", ...).
@@ -45,6 +46,7 @@ enum class StatusCode {
     case StatusCode::kRetransmitExhausted: return "retransmit-exhausted";
     case StatusCode::kAttestationFailed: return "attestation-failed";
     case StatusCode::kEpcExhausted: return "epc-exhausted";
+    case StatusCode::kBudgetExhausted: return "budget-exhausted";
   }
   return "?";
 }

@@ -87,21 +87,26 @@ struct Observed {
   std::map<std::int64_t, std::uint64_t> epc;
 };
 
-/// The executed_ counter can lag call() by one worker turn (an enclave's
-/// trailing ret lands after the leader resumes, and a freshly spawned
-/// worker may not have been scheduled yet). Poll until the count holds
-/// still for a sustained window — 1 ms is not enough under a fully loaded
-/// parallel ctest run.
-std::uint64_t settled_instructions(const interp::Machine& m) {
-  std::uint64_t prev = m.instructions_executed();
+/// Machine counters can lag call() by one worker turn (an enclave's
+/// trailing ret or flush lands after the leader resumes, and a freshly
+/// spawned worker may not have been scheduled yet). Polls @p read until its
+/// value holds still for a sustained window — 1 ms is not enough under a
+/// fully loaded parallel ctest run.
+template <typename Read>
+auto settled(Read read) {
+  auto prev = read();
   int stable = 0;
   for (int i = 0; i < 2000 && stable < 30; ++i) {
     std::this_thread::sleep_for(1ms);
-    const std::uint64_t now = m.instructions_executed();
+    const auto now = read();
     stable = now == prev ? stable + 1 : 0;
     prev = now;
   }
   return prev;
+}
+
+std::uint64_t settled_instructions(const interp::Machine& m) {
+  return settled([&m] { return m.instructions_executed(); });
 }
 
 void record_call(interp::Machine& m, Observed& o, const std::string& name,
@@ -313,6 +318,125 @@ TEST(InterpEquivTest, CallPathBatchingOnAndOffAreObservablyIdentical) {
         },
         drive);
     expect_equivalent(batched, unbatched);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Flush points (DESIGN.md §11): a call to host code flushes the caller's
+// outbox first, while an `ignore` boundary (classify/declassify) runs inside
+// the calling partition and lets the batch keep growing — on every tier.
+// ---------------------------------------------------------------------------
+
+/// Messages sent and outbox flushes so far, over all threads.
+struct Traffic {
+  std::uint64_t messages = 0;
+  std::uint64_t flushes = 0;
+  bool operator==(const Traffic&) const = default;
+};
+
+Traffic traffic(const interp::Machine& m) {
+  const runtime::RuntimeStats::Snapshot s = m.runtime_stats();
+  return {s.messages_sent, s.batch_flushes};
+}
+
+Traffic settled_traffic(const interp::Machine& m) {
+  return settled([&m] { return traffic(m); });
+}
+
+// Both entries spawn the store chunk and then, before any wait, call a probe
+// on the application thread: an `ignore` one, or a `within` one (host code).
+const char* kFlushProbe = R"(
+module "flushprobe"
+global i64 @slot color(store)
+declare i64 @classify(i64) ignore
+declare i64 @declassify(i64) ignore
+declare i64 @ignore_probe(i64) ignore
+declare i64 @host_probe(i64) within
+define i64 @ignore_first(i64 %k) entry {
+entry:
+  %ck = call i64 @ignore_probe(i64 %k)
+  %old = load ptr<i64 color(store)> @slot
+  %new = add i64 %old, %ck
+  store i64 %new, ptr<i64 color(store)> @slot
+  %d = call i64 @declassify(i64 %new)
+  ret i64 %d
+}
+define i64 @host_first(i64 %k) entry {
+entry:
+  %h = call i64 @host_probe(i64 %k)
+  %ck = call i64 @classify(i64 %h)
+  %old = load ptr<i64 color(store)> @slot
+  %new = add i64 %old, %ck
+  store i64 %new, ptr<i64 color(store)> @slot
+  %d = call i64 @declassify(i64 %new)
+  ret i64 %d
+}
+)";
+
+TEST(InterpEquivTest, IgnoreCallsAreNotFlushPointsOnEveryTier) {
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kDecoded,
+                              ExecMode::kFused, ExecMode::kNative}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    Compiled c = compile(kFlushProbe, Mode::kHardened);
+    interp::Machine m(*c.program, kEpcLimit, mode);
+    if (mode == ExecMode::kNative) m.set_jit_threshold(0);
+    Traffic seen;
+    auto probe = [&seen](interp::Machine::ExternalCtx& ctx,
+                         std::span<const std::int64_t> a) {
+      seen = traffic(ctx.machine);
+      return a[0];
+    };
+    m.bind_external("ignore_probe", probe);
+    m.bind_external("host_probe", probe);
+    for (std::int64_t i = 1; i <= 3; ++i) {
+      const Traffic before = settled_traffic(m);
+      ASSERT_TRUE(m.call("ignore_first", {i}).ok());
+      EXPECT_EQ(seen.messages, before.messages + 1);  // the spawn is sent...
+      EXPECT_EQ(seen.flushes, before.flushes);        // ...but still deferred
+
+      const Traffic before_host = settled_traffic(m);
+      ASSERT_TRUE(m.call("host_first", {i}).ok());
+      EXPECT_EQ(seen.messages, before_host.messages + 1);
+      EXPECT_EQ(seen.flushes, before_host.flushes + 1);  // host code sees it delivered
+    }
+  }
+}
+
+// The kvcache request path pays one mailbox crossing per direction. A get
+// sends spawn + key cont to the store enclave and gets two result conts + the
+// completion ack back; a put sends spawn + key and value conts and gets the
+// ack back. Each direction is a single flush.
+TEST(InterpEquivTest, KvcacheRequestsFlushOncePerDirectionOnEveryTier) {
+  constexpr std::int64_t kPut = (std::int64_t{1} << 62) | (std::int64_t{7} << 32) | 4242;
+  constexpr std::int64_t kGet = std::int64_t{7} << 32;
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kDecoded,
+                              ExecMode::kFused, ExecMode::kNative}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    Compiled c = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
+    interp::Machine m(*c.program, kEpcLimit, mode);
+    if (mode == ExecMode::kNative) m.set_jit_threshold(0);
+    for (const char* boundary : {"classify", "declassify"}) {
+      m.bind_external(boundary, [](interp::Machine::ExternalCtx&,
+                                   std::span<const std::int64_t> a) { return a[0]; });
+    }
+    auto request = std::make_shared<std::int64_t>(0);
+    m.bind_external("net_recv", [request](interp::Machine::ExternalCtx&,
+                                          std::span<const std::int64_t>) {
+      return *request;
+    });
+    auto expect_cost = [&](std::int64_t req, std::uint64_t flushes, std::uint64_t messages) {
+      *request = req;
+      const Traffic before = settled_traffic(m);
+      ASSERT_TRUE(m.call("handle_request", {}).ok());
+      const Traffic after = settled_traffic(m);
+      EXPECT_EQ(after.flushes - before.flushes, flushes);
+      EXPECT_EQ(after.messages - before.messages, messages);
+    };
+    for (int i = 0; i < 2; ++i) {
+      SCOPED_TRACE("round " + std::to_string(i));
+      expect_cost(kPut, 2, 4);
+      expect_cost(kGet, 2, 5);
+    }
   }
 }
 

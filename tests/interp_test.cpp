@@ -469,5 +469,83 @@ entry:
   EXPECT_EQ(read_i32(m, "secret", blue), 10);
 }
 
+// ---------------------------------------------------------------------------
+// Instruction budget: per interface call, not per machine lifetime
+// ---------------------------------------------------------------------------
+
+// 3 counted instructions per trip (add, icmp, cond_br; phis are free).
+const char* kSpin = R"(
+module "spin"
+define i64 @spin(i64 %n) entry {
+entry:
+  br %head
+head:
+  %i = phi i64 [ i64 0, %entry ], [ %i2, %head ]
+  %i2 = add i64 %i, i64 1
+  %more = icmp slt i64 %i2, %n
+  cond_br i1 %more, %head, %exit
+exit:
+  ret i64 %i2
+}
+)";
+
+TEST(BudgetTest, EachCallGetsTheWholeBudget) {
+  Compiled c = compile(kSpin, Mode::kRelaxed);
+  Machine m(*c.program);  // the default (fused) tier
+  // Three ~70M-instruction calls: together past the 200M budget, each within it.
+  constexpr std::int64_t kTrips = 70'000'000 / 3;
+  for (int i = 0; i < 3; ++i) {
+    auto r = m.call("spin", {kTrips});
+    ASSERT_TRUE(r.ok()) << "call " << i << ": " << r.message();
+    EXPECT_EQ(r.value(), kTrips);
+  }
+  EXPECT_GT(m.instructions_executed(), 3 * 3 * static_cast<std::uint64_t>(kTrips) - 3);
+
+  // A runaway call still stops, with the typed budget error; the next call
+  // starts on a fresh budget.
+  auto runaway = m.call("spin", {std::int64_t{1} << 62});
+  ASSERT_FALSE(runaway.ok());
+  EXPECT_EQ(runaway.status().code(), StatusCode::kBudgetExhausted);
+  EXPECT_NE(runaway.message().find("instruction budget exhausted"), std::string::npos);
+  auto after = m.call("spin", {10});
+  ASSERT_TRUE(after.ok()) << after.message();
+  EXPECT_EQ(after.value(), 10);
+}
+
+// The same loop inside the blue enclave: the chunks a worker runs for a call
+// are charged to that call, and a worker-side runaway surfaces typed.
+const char* kSpinInEnclave = R"(
+module "spin_enclave"
+global i64 @limit color(blue)
+define i64 @spin(i64 %n) entry {
+entry:
+  store i64 %n, ptr<i64 color(blue)> @limit
+  %m = load ptr<i64 color(blue)> @limit
+  br %head
+head:
+  %i = phi i64 [ i64 0, %entry ], [ %i2, %head ]
+  %i2 = add i64 %i, i64 1
+  %more = icmp slt i64 %i2, %m
+  cond_br i1 %more, %head, %exit
+exit:
+  store i64 %i2, ptr<i64 color(blue)> @limit
+  ret i64 7
+}
+)";
+
+TEST(BudgetTest, WorkerChunksRunInsideTheCallersBudget) {
+  Compiled c = compile(kSpinInEnclave, Mode::kRelaxed);
+  Machine m(*c.program);
+  for (int i = 0; i < 3; ++i) {
+    auto r = m.call("spin", {70'000'000 / 3});
+    ASSERT_TRUE(r.ok()) << "call " << i << ": " << r.message();
+  }
+  auto runaway = m.call("spin", {std::int64_t{1} << 62});
+  ASSERT_FALSE(runaway.ok());
+  EXPECT_EQ(runaway.status().code(), StatusCode::kBudgetExhausted);
+  auto after = m.call("spin", {10});
+  EXPECT_TRUE(after.ok()) << after.message();
+}
+
 }  // namespace
 }  // namespace privagic::interp

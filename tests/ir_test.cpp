@@ -2,7 +2,9 @@
 // round-trips, CFG/dominators, verifier, mem2reg, and cleanup passes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -324,6 +326,55 @@ join:
   auto reparsed = parse_module(canon);
   ASSERT_TRUE(reparsed.ok()) << reparsed.message() << "\n" << canon;
   EXPECT_EQ(print_module(*reparsed.value()), canon);
+}
+
+// Float constants survive print -> parse bit for bit: the printer used to
+// emit the stream's default 6 digits (`1.23456789` printed as `1.23457`) and
+// `nan`/`inf`, which the parser rejects.
+TEST(ParserTest, F64ConstantsRoundTripBitEqual) {
+  const double values[] = {1.23456789,
+                           0.1,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           1e300,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const double d : values) {
+    SCOPED_TRACE(std::bit_cast<std::uint64_t>(d));
+    // The constant appears as a plain operand and as a phi incoming, the
+    // parser's two literal paths.
+    Module module("floats");
+    TypeContext& types = module.types();
+    Function* f = module.create_function(types.func(types.f64(), {types.f64()}), "f");
+    Argument* a = f->add_argument("a");
+    BasicBlock* entry = f->create_block("entry");
+    BasicBlock* join = f->create_block("join");
+    IRBuilder b(module);
+    b.set_insertion_point(entry);
+    BinOpInst* sum = b.binop(BinOpKind::kFAdd, a, module.const_f64(d), "sum");
+    b.br(join);
+    b.set_insertion_point(join);
+    PhiInst* phi = b.phi(types.f64(), "p");
+    phi->add_incoming(module.const_f64(d), entry);
+    b.ret(b.binop(BinOpKind::kFMul, phi, sum, "r"));
+
+    const std::string text = print_module(module);
+    auto parsed = parse_module(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.message() << "\n" << text;
+    EXPECT_EQ(print_module(*parsed.value()), text);
+    const Function* g = parsed.value()->function_by_name("f");
+    ASSERT_NE(g, nullptr);
+    const auto& entry_insts = g->blocks()[0]->instructions();
+    const auto& join_insts = g->blocks()[1]->instructions();
+    const auto* operand = dynamic_cast<const ConstFloat*>(entry_insts[0]->operand(1));
+    const auto* incoming = dynamic_cast<const ConstFloat*>(
+        static_cast<const PhiInst*>(join_insts[0].get())->incoming_value(0));
+    ASSERT_NE(operand, nullptr);
+    ASSERT_NE(incoming, nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(operand->value()), std::bit_cast<std::uint64_t>(d));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(incoming->value()), std::bit_cast<std::uint64_t>(d));
+  }
 }
 
 // ---------------------------------------------------------------------------
